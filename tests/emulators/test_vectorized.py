@@ -1,9 +1,14 @@
 """Vectorized emulator inner loops: batched state-vector evolution,
 batched noise-realization draws, and the shot-vectorized MPS sampler."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.emulators import statevector
 from repro.emulators.mps import MPSEmulator
 from repro.emulators.noise import NoiseModel
 from repro.emulators.statevector import StateVectorEmulator
@@ -63,6 +68,56 @@ class TestEvolveMany:
             ham, np.array([1.0, 0.9]), np.array([0.0, 0.3])
         )
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        reals=st.integers(1, 3),
+        chunk=st.integers(2, 5),
+        streamed=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_reference_evolve_property(self, n, reals, chunk, streamed, data):
+        # shrink the element budget so evolve_many builds its drive
+        # operators `chunk` steps at a time and the step count picks the
+        # bulk or streamed branch
+        dim = 1 << n
+        op_elements = (1 << 2 * (n // 2)) + (1 << 2 * (n - n // 2))  # one step's two operators
+        budget = reals * op_elements * chunk
+        bulk_max = budget // (reals * dim)  # most steps the bulk branch takes
+        if streamed:
+            num_steps = data.draw(st.integers(bulk_max + 1, bulk_max + 20))
+        else:
+            num_steps = data.draw(st.integers(chunk + 1, bulk_max))
+        assume(num_steps % chunk)  # a short last chunk
+        assert (reals * num_steps * dim <= budget) != streamed
+        # drive / zero-drive / drive segments, each with its own phase
+        dt = 0.01
+        idle = data.draw(st.integers(1, num_steps - 2))
+        head = data.draw(st.integers(1, num_steps - idle - 1))
+        lengths = (head, idle, num_steps - head - idle)
+        amplitudes = (data.draw(st.floats(0.5, 8.0)), 0.0, data.draw(st.floats(0.5, 8.0)))
+        segments = [
+            DriveSegment(
+                ConstantWaveform(k * dt, omega),
+                RampWaveform(k * dt, -4.0, 4.0),
+                phase=data.draw(st.floats(-np.pi, np.pi)),
+            )
+            for k, omega in zip(lengths, amplitudes, strict=True)
+        ]
+        ham = RydbergHamiltonian(Register.chain(n, spacing=6.0), segments, dt=dt)
+        assert ham.num_steps == num_steps
+        scales = np.array(data.draw(st.lists(st.floats(0.8, 1.2), min_size=reals, max_size=reals)))
+        offsets = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=reals, max_size=reals)))
+
+        emu = StateVectorEmulator()
+        with mock.patch.object(statevector, "_BLOCK_ELEMENTS", budget):
+            batched = emu.evolve_many(ham, scales, offsets)
+        assert batched.shape == (reals, dim)
+        np.testing.assert_allclose(np.linalg.norm(batched, axis=1), 1.0, atol=1e-12)
+        for r in range(reals):
+            single = emu.evolve(ham, scales[r], offsets[r])
+            np.testing.assert_allclose(batched[r], single, atol=1e-12)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(EmulatorError):
@@ -157,3 +212,18 @@ class TestMPSSampleVectorized:
         emu = MPSEmulator(max_bond_dim=1)
         result = emu.run(ham, 50, np.random.default_rng(1))
         assert result.counts == {"000": 50}
+
+
+@pytest.mark.parametrize("emulator", [StateVectorEmulator, MPSEmulator])
+@pytest.mark.parametrize(
+    "noise",
+    [
+        None,
+        NoiseModel(state_prep_error=0.02),
+        NoiseModel(amplitude_rel_std=0.03, detuning_std=0.1),
+    ],
+    ids=["noiseless", "spam-only", "coherent"],
+)
+def test_negative_shots_raise_emulator_error(emulator, noise):
+    with pytest.raises(EmulatorError, match="shots must be >= 0"):
+        emulator().run(_ham(), -3, np.random.default_rng(0), noise=noise)
