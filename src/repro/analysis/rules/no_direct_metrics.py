@@ -3,10 +3,10 @@
 PR 6 deleted every ``record_*`` call site: :class:`FederationMetrics`
 folds its counters and stage-latency histograms over the lifecycle
 bus, so a resurrected direct ``metrics.record_x(...)`` call would
-double-count under push delivery and drift from the traced/batched
-flavors.  New measurements are new *event kinds* (declare them in
-``EVENT_SCHEMAS``) or ``observe_*`` snapshot refreshes — never a
-``record_*`` imperative call outside ``federation/metrics.py``.
+double-count what the bus already delivered.  New measurements are
+new *event kinds* (declare them in ``EVENT_SCHEMAS``) or ``observe_*``
+snapshot refreshes — never a ``record_*`` imperative call outside
+``federation/metrics.py``.
 """
 
 from __future__ import annotations

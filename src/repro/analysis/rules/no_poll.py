@@ -1,14 +1,13 @@
 """no-poll: the broker's reconcile paths must not resurrect polling.
 
-PR 5 replaced the per-job/per-unit ``task_status`` sweep with the
-:class:`~repro.federation.events.LifecycleBus` push plane — sites
-publish transitions, the refresh paths consume what was pushed.  A
-reintroduced poll call site costs O(live placements) daemon round trips
-per tick and silently diverges from the event-driven flavors the C6
-bench holds bit-identical.  The one sanctioned exception is the legacy
-non-push fallback kept for brokers that never called
-``attach_events()``; those sites carry inline suppressions with that
-justification.
+Task tracking is push-only: every site publishes its task transitions
+onto the broker's :class:`~repro.federation.events.LifecycleBus` from
+the moment the broker is built (or the site joins), and the fixed-size
+and malleable refresh paths consume what was pushed.  A ``task_status``
+call in those modules would reintroduce O(live placements) daemon
+round trips per tick for information the bus already delivered.  There
+is no sanctioned exception: the public ``GET /tasks/{id}`` endpoint
+stays for users, but the reconcile paths never call it.
 """
 
 from __future__ import annotations
@@ -44,6 +43,6 @@ class NoPollRule(Rule):
                 ctx,
                 node,
                 "task_status poll in a reconcile path — task transitions "
-                "arrive on the LifecycleBus (attach_events); polling "
-                "belongs only behind the legacy non-push fallback",
+                "arrive on the broker's LifecycleBus; consume the pushed "
+                "event instead",
             )

@@ -212,10 +212,10 @@ class MiddlewareQueue:
         self._queued[task.task_id] = task
         for callback in self._transition_listeners:
             callback(task, None, TaskState.QUEUED)
-        self._push(task)
+        self._heap_push(task)
         return task
 
-    def _push(self, task: QueuedTask) -> None:
+    def _heap_push(self, task: QueuedTask) -> None:
         seq = next(self._seq)
         task._heap_seq = seq
         heapq.heappush(self._heap, (int(task.priority), seq, task.task_id))
@@ -252,7 +252,7 @@ class MiddlewareQueue:
             )
         task.state = TaskState.QUEUED
         task.started_at = None
-        self._push(task)
+        self._heap_push(task)
 
     def cancel(self, task_id: str) -> None:
         task = self.get(task_id)

@@ -9,36 +9,25 @@ queue, the broker itself, the resize loop) publish a
 :class:`JobEvent` at the simulated instant the transition happens, and
 consumers subscribe.
 
-Publishers wired in by :meth:`FederationBroker.attach_events
-<repro.federation.broker.FederationBroker.attach_events>`:
+Publishers, all wired onto the broker's own bus when the
+:class:`~repro.federation.broker.FederationBroker` is built:
 
 * **site task transitions** — each :class:`~repro.federation.site.FederatedSite`
-  forwards its daemon queue's QUEUED -> RUNNING -> COMPLETED/FAILED/
-  CANCELLED transitions (kind = the state name), tagged with the site,
+  (registered before the broker or joining later) forwards its daemon
+  queue's QUEUED -> RUNNING -> COMPLETED/FAILED/CANCELLED transitions
+  (kind = the state name), tagged with the site,
 * **broker job lifecycle** — ``job_submitted`` / ``job_held`` /
   ``job_placed`` / ``job_completed`` / ``job_failed``, keyed by the
   federation-stable job id,
 * **resize decisions** — kind ``resize`` with the action
   (grow/shrink/retire/reclaim) in the payload.
 
-Dispatch is synchronous and deterministic (subscriber order =
-subscription order) so event-driven runs replay bit-for-bit like the
-polling runs they replace.  Subscriber exceptions are swallowed and
+Dispatch is synchronous and deterministic: :meth:`LifecycleBus.publish`
+delivers to every matching subscriber, in subscription order, before
+it returns — a subscriber that publishes from its callback has that
+event delivered in full first.  Subscriber exceptions are swallowed and
 counted (:attr:`LifecycleBus.dropped`): a broken observer must never
 break the scheduler hot path.
-
-**Batched delivery** (:meth:`LifecycleBus.enable_batching`): events
-accumulate per simulated tick and every subscriber receives its
-matching events at the next :meth:`LifecycleBus.flush` barrier — the
-simulator calls it after each same-timestamp event batch, the broker
-at the top of every reconcile so scheduling decisions still see every
-transition that preceded them.  Each subscriber's stream stays in
-publish order, so consumers that fold over every event (metrics
-counters, profile EWMAs) observe the exact sequence synchronous
-delivery would have produced.  Subscribers that only need the latest
-state per task (session wake-ups, snapshot invalidation) can opt into
-``coalesce=True`` and superseded same-tick transitions are dropped
-from their stream.
 """
 
 from __future__ import annotations
@@ -127,11 +116,6 @@ class _Subscription:
     job_id: str | None
     kinds: tuple[str, ...] | None
     site: str | None
-    #: one-call-per-flush handler (``deliver_batch(events)``); falls
-    #: back to per-event ``callback`` when absent
-    batch: Callable[[list[JobEvent]], None] | None = None
-    #: drop superseded same-flush transitions (latest-state consumers)
-    coalesce: bool = False
 
     def matches(self, event: JobEvent) -> bool:
         if self.job_id is not None and event.job_id != self.job_id:
@@ -151,7 +135,7 @@ class LifecycleBus:
     it, not to everyone.
     """
 
-    def __init__(self, history: int = 0) -> None:
+    def __init__(self) -> None:
         self._handles = itertools.count(1)
         #: wildcard subscribers (no job filter)
         self._wildcard: list[_Subscription] = []
@@ -162,15 +146,6 @@ class LifecycleBus:
         self.published = 0
         #: subscriber callbacks that raised (isolated, never re-raised)
         self.dropped = 0
-        #: superseded transitions dropped from coalescing subscribers
-        self.coalesced = 0
-        #: flush barriers that delivered at least one event
-        self.flushes = 0
-        #: optional bounded ring of recent events (observability aid)
-        self._history_cap = history
-        self._history: list[JobEvent] = []
-        self._batching = False
-        self._pending: list[JobEvent] = []
 
     # -- subscription ---------------------------------------------------------
 
@@ -181,8 +156,7 @@ class LifecycleBus:
         kinds: tuple[str, ...] | None = None,
         site: str | None = None,
         *,
-        batch: Callable[[list[JobEvent]], None] | None = None,
-        coalesce: bool = False,
+        batch: None = None,
     ) -> int:
         """Register ``callback`` for events matching the filters;
         returns the handle :meth:`unsubscribe` takes.
@@ -193,17 +167,13 @@ class LifecycleBus:
         ``site=`` — a bare ``job_id`` filter would hear every
         same-numbered task in the federation.
 
-        ``batch`` is an optional ``deliver_batch(events)`` handler: in
-        batched mode the subscriber's whole per-flush stream arrives in
-        one call instead of one call per event (``callback`` remains
-        the synchronous-mode path).  ``coalesce=True`` marks a
-        latest-state-only consumer: superseded same-flush transitions
-        for the same ``(job_id, site, task_id)`` are dropped from its
-        stream (a no-op in synchronous mode)."""
-        sub = _Subscription(
-            next(self._handles), callback, job_id, kinds, site,
-            batch=batch, coalesce=coalesce,
-        )
+        ``batch`` must stay ``None``: delivery is always one
+        ``callback(event)`` per event.  The keyword is still accepted
+        so that subscribe wrappers which forward it (the perfbench
+        delivery counter) keep working."""
+        if batch is not None:
+            raise TypeError("LifecycleBus delivers per event; batch= must be None")
+        sub = _Subscription(next(self._handles), callback, job_id, kinds, site)
         if job_id is None:
             self._wildcard.append(sub)
         else:
@@ -225,17 +195,9 @@ class LifecycleBus:
 
     def publish(self, event: JobEvent) -> None:
         """Deliver ``event`` to every matching subscriber, in
-        subscription order (wildcards first, then job-filtered).  In
-        batched mode the event is buffered until the next
-        :meth:`flush` barrier instead."""
+        subscription order (wildcards first, then job-filtered),
+        before returning."""
         self.published += 1
-        if self._history_cap:
-            self._history.append(event)
-            if len(self._history) > self._history_cap:
-                del self._history[: -self._history_cap]
-        if self._batching:
-            self._pending.append(event)
-            return
         targets = list(self._wildcard)
         targets.extend(self._by_job.get(event.job_id, ()))
         for sub in targets:
@@ -245,83 +207,6 @@ class LifecycleBus:
                 sub.callback(event)
             except Exception:
                 self.dropped += 1
-
-    # -- batched delivery -----------------------------------------------------
-
-    @property
-    def batching(self) -> bool:
-        return self._batching
-
-    def pending_count(self) -> int:
-        """Events buffered and awaiting the next flush barrier."""
-        return len(self._pending)
-
-    def enable_batching(self) -> None:
-        """Buffer published events until :meth:`flush`."""
-        self._batching = True
-
-    def disable_batching(self) -> None:
-        """Return to synchronous delivery (buffered events flush first)."""
-        self.flush()
-        self._batching = False
-
-    def flush(self) -> int:
-        """Deliver every buffered event; returns the count delivered.
-
-        Subscribers may publish during delivery — those events join the
-        same barrier (the loop drains until quiescent), mirroring the
-        reentrancy of synchronous dispatch."""
-        delivered = 0
-        while self._pending:
-            batch, self._pending = self._pending, []
-            delivered += len(batch)
-            self._deliver_batch(batch)
-        if delivered:
-            self.flushes += 1
-        return delivered
-
-    def _deliver_batch(self, batch: list[JobEvent]) -> None:
-        # Per-subscriber streams are each in publish order; wildcards
-        # drain before job-filtered subscribers, matching the per-event
-        # targets order of synchronous publish.
-        for sub in list(self._wildcard):
-            self._dispatch(sub, [e for e in batch if sub.matches(e)])
-        if self._by_job:
-            by_job: dict[str, list[JobEvent]] = {}
-            for event in batch:
-                by_job.setdefault(event.job_id, []).append(event)
-            for job_id, events in by_job.items():
-                for sub in list(self._by_job.get(job_id, ())):
-                    self._dispatch(sub, [e for e in events if sub.matches(e)])
-
-    def _dispatch(self, sub: _Subscription, events: list[JobEvent]) -> None:
-        if not events:
-            return
-        if sub.coalesce and len(events) > 1:
-            latest: dict[tuple[str, str, str], JobEvent] = {}
-            for event in events:
-                latest[(event.job_id, event.site, event.task_id)] = event
-            if len(latest) < len(events):
-                self.coalesced += len(events) - len(latest)
-                events = [
-                    e for e in events
-                    if latest[(e.job_id, e.site, e.task_id)] is e
-                ]
-        if sub.batch is not None:
-            try:
-                sub.batch(events)
-            except Exception:
-                self.dropped += 1
-            return
-        for event in events:
-            try:
-                sub.callback(event)
-            except Exception:
-                self.dropped += 1
-
-    def recent(self) -> list[JobEvent]:
-        """The retained event tail (empty unless ``history`` was set)."""
-        return list(self._history)
 
 
 def kind_for_task_state(state: Any) -> str:

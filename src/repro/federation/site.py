@@ -45,9 +45,9 @@ class FederatedSite:
         self.priority_class = priority_class
         self.alive = True
         self._sessions: dict[str, str] = {}  # session owner -> token
-        #: lifecycle bus this site publishes task transitions onto
-        #: (see :meth:`attach_bus`); None keeps the site silent
-        self._bus = None
+        #: lifecycle buses this site publishes task transitions onto
+        #: (see :meth:`attach_bus`); empty keeps the site silent
+        self._buses: list = []
         # catalog/capacity caches keyed on the daemon's (name, resource
         # identity) pairs: exported types and max-qubit capacities are
         # static per resource object, but the placement path asks for
@@ -172,20 +172,21 @@ class FederatedSite:
     def attach_bus(self, bus) -> None:
         """Publish every task state transition of this site's daemon
         onto ``bus`` (a :class:`~repro.federation.events.LifecycleBus`),
-        tagged with the site name — the push path that lets the broker
-        and resize loop stop polling task status.  Idempotent; a second
-        bus replaces the first."""
-        if self._bus is bus:
+        tagged with the site name — the push path the broker and resize
+        loop track tasks by.  Idempotent per bus; every broker whose
+        registry holds this site attaches its own bus, and each hears
+        every transition once."""
+        if any(attached is bus for attached in self._buses):
             return
-        self._bus = bus
-        self.daemon.queue.add_transition_listener(self._publish_transition)
+        if not self._buses:
+            self.daemon.queue.add_transition_listener(self._publish_transition)
+        self._buses.append(bus)
 
     def _publish_transition(self, task, old, new) -> None:
-        if self._bus is None:
-            return
         from .events import publish_task_transition
 
-        publish_task_transition(self._bus, self.daemon.now, self.name, task, new)
+        for bus in self._buses:
+            publish_task_transition(bus, self.daemon.now, self.name, task, new)
 
     # -- intake (brokered jobs) ---------------------------------------------
 

@@ -155,12 +155,8 @@ class JobHandle:
 
         job_id, site = self._event_filter()
         handle.append(
-            # latest-state-only consumer: the wake fires on the job's
-            # terminal transition, so superseded same-tick transitions
-            # may be coalesced away under batched delivery
             bus.subscribe(
-                fire, job_id=job_id, kinds=self._terminal_kinds(), site=site,
-                coalesce=True,
+                fire, job_id=job_id, kinds=self._terminal_kinds(), site=site
             )
         )
         # the heartbeat pop also retires the subscription so abandoned
@@ -229,7 +225,7 @@ class Session:
             return self.daemon.sim
         return self.cloud.daemon.sim
 
-    def attach_events(self, bus: LifecycleBus | None = None) -> LifecycleBus:
+    def attach_events(self) -> LifecycleBus:
         """Join the push-based lifecycle plane: one bus carries the
         federation's job events plus the local daemon's and cloud
         gateway's task transitions.  Idempotent; returns the bus."""
@@ -238,8 +234,8 @@ class Session:
         if self.federation is not None:
             # the broker owns an always-on bus; joining it instead of
             # minting a fresh one keeps every publisher on one plane
-            bus = self.federation.attach_events(bus)
-        elif bus is None:
+            bus = self.federation.events
+        else:
             bus = LifecycleBus()
         seen: list = []
         for daemon, backend in (

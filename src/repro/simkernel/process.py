@@ -223,15 +223,6 @@ class Simulator:
         self._processes: list[Process] = []
         self._profile: dict[str, float] | None = None
         self._scope_profiler = None
-        self._flush_hooks: list[Callable[[], None]] = []
-
-    def add_flush_hook(self, hook: Callable[[], None]) -> None:
-        """Register a callable invoked after each dispatched timestamp
-        batch (and after every single :meth:`step`).  The batched
-        :class:`~repro.federation.events.LifecycleBus` uses this as its
-        end-of-tick flush barrier."""
-        if hook not in self._flush_hooks:
-            self._flush_hooks.append(hook)
 
     def enable_scope_profiling(self, profiler) -> None:
         """Wrap every event dispatch in a ``sim.step`` profiler scope so
@@ -317,33 +308,10 @@ class Simulator:
 
     # -- running ---------------------------------------------------------
 
-    def step(self) -> float:
-        """Process the single next event; returns its time."""
-        profile = self._profile
-        if profile is not None:
-            wall_start = perf_counter()
-        sprof = self._scope_profiler
-        if sprof is not None:
-            sprof.push("sim.step")
-        entry = self.events.pop()
-        self.clock.advance_to(entry.time)
-        event = entry.event
-        if not event.triggered:
-            event.trigger(None)
-        event.run_callbacks()
-        for hook in self._flush_hooks:
-            hook()
-        if sprof is not None:
-            sprof.pop()
-        if profile is not None:
-            profile["steps"] += 1
-            profile["wall_s"] += perf_counter() - wall_start
-        return entry.time
-
     def step_batch(self, stop: Callable[[], bool] | None = None) -> tuple[float, int]:
         """Process every event at the next timestamp: one clock advance,
-        one profiler push/pop, callbacks dispatched in exactly the order
-        repeated :meth:`step` would use.
+        one profiler push/pop, callbacks dispatched in exact
+        (time, priority, seq) order.
 
         Callbacks may schedule *new* same-time entries that sort before
         the remaining drained batch (interrupt delivery uses priority
@@ -396,8 +364,6 @@ class Simulator:
         finally:
             if i < n:
                 events.requeue(batch[i:])
-            for hook in self._flush_hooks:
-                hook()
             if sprof is not None:
                 sprof.pop()
             if profile is not None:

@@ -211,8 +211,9 @@ class TestReviewRegressions:
         assert registry.health_of("late-joiner", sim.now) is SiteHealth.ONLINE
 
     def test_reconcile_survives_poisoned_status_query(self):
-        """A site that answers but refuses our session must trigger
-        failover, not crash the sweep."""
+        """A site that pushed the terminal transition but then refuses
+        our session on the result fetch must trigger failover, not
+        crash the sweep; the job completes on the other site."""
         sim, registry, broker, sites = build_federation(n_sites=2)
         job_id = broker.submit(make_program(shots=10), shots=10)
         bad_site = broker.job(job_id).current.site
@@ -220,8 +221,41 @@ class TestReviewRegressions:
         def explode(owner, task_id):
             raise RuntimeError("session no longer owns this task")
 
-        sites[bad_site].task_status = explode
+        sites[bad_site].task_result = explode
+        sim.run(until=5.0)  # the task finished; no reconcile ran yet
+        assert broker.job(job_id).state is JobState.PLACED
         broker.reconcile()  # must not raise
-        assert broker.job(job_id).current.site != bad_site
+        job = broker.job(job_id)
+        assert job.placements[0].abandoned
+        assert "query failed" in job.placements[0].abandon_reason
+        assert job.current.site != bad_site
         sim.run(until=300.0)
         assert broker.job(job_id).state is JobState.COMPLETED
+        assert broker.result(job_id) is not None
+
+    def test_malleable_unit_survives_poisoned_result_fetch(self):
+        """The malleable counterpart: a unit whose result fetch raises
+        is abandoned and redispatched, the reconcile never raises, and
+        the job still completes every unit."""
+        sim, registry, broker, sites = build_federation(n_sites=2)
+        rerouted = []
+        broker.events.subscribe(
+            lambda ev: rerouted.append(ev.payload), kinds=("job_rerouted",)
+        )
+        job_id = broker.submit_malleable(make_program(shots=10), 4, shots=10)
+        site = sites["site-0"]
+        real_result = site.task_result
+
+        def explode_once(owner, task_id):
+            site.task_result = real_result  # only the first fetch fails
+            raise RuntimeError("session no longer owns this task")
+
+        site.task_result = explode_once
+        sim.run(until=5.0)
+        broker.reconcile()  # must not raise
+        assert len(rerouted) == 1
+        assert rerouted[0]["reason"].startswith("query failed")
+        sim.run(until=600.0)
+        status = broker.malleable_status(job_id)
+        assert status["state"] == "completed"
+        assert status["completed_units"] == 4
